@@ -114,9 +114,6 @@ type Image struct {
 	// and concurrent restores.
 	frozen bool
 
-	// writes counts mutating calls (each at most 8-byte-atomic from the
-	// point of view of recovery tooling; see ArmWriteBudget).
-	writes uint64
 	// budget, when armed, is decremented once per mutating call; a call
 	// that finds it exhausted panics with PowerCut, modelling a power
 	// failure in the middle of (recovery) software mutating the image.
@@ -152,14 +149,8 @@ func (im *Image) ArmWriteBudget(n int) {
 // DisarmWriteBudget removes the budget; mutations are unlimited again.
 func (im *Image) DisarmWriteBudget() { im.budgetArmed = false }
 
-// MutationCount reports the total number of mutating calls the image
-// has served. The delta across a recovery run enumerates the budget
-// points a crash-during-recovery sweep must cover.
-func (im *Image) MutationCount() uint64 { return im.writes }
-
 // charge accounts one mutating call against the budget.
 func (im *Image) charge() {
-	im.writes++
 	if im.budgetArmed {
 		if im.budget == 0 {
 			panic(PowerCut{})
@@ -550,9 +541,6 @@ func (im *Image) Clone() *Image {
 
 // Frozen reports whether the image is an immutable captured view.
 func (im *Image) Frozen() bool { return im.frozen }
-
-// PageCount reports how many sparse pages have been touched.
-func (im *Image) PageCount() int { return len(im.pages) }
 
 // zeroPageArr is the all-zero page zeroPage compares against; the
 // array comparison compiles to a bulk memory-equality check.

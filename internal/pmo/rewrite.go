@@ -143,24 +143,6 @@ func StoreIDOf(p Program, r StoreRef) (StoreID, bool) {
 	return StoreID{}, false
 }
 
-// RefOf maps a StoreID back to its stable StoreRef, or false when the
-// position does not hold a store.
-func RefOf(p Program, id StoreID) (StoreRef, bool) {
-	if id.Thread < 0 || id.Thread >= len(p) || id.Index < 0 || id.Index >= len(p[id.Thread]) {
-		return StoreRef{}, false
-	}
-	if p[id.Thread][id.Index].Kind != KStore {
-		return StoreRef{}, false
-	}
-	ord := 0
-	for i := 0; i < id.Index; i++ {
-		if p[id.Thread][i].Kind == KStore {
-			ord++
-		}
-	}
-	return StoreRef{Thread: id.Thread, Ord: ord}, true
-}
-
 // SameStores reports whether two programs carry the same stores (kind,
 // location, value, label) per thread in the same program order — the
 // precondition for comparing their allowed persist sets by ordinal.

@@ -52,9 +52,9 @@ func BenchmarkEngineScheduleZeroDelay(b *testing.B) {
 }
 
 // BenchmarkCoroutineYield measures one full engine<->coroutine round
-// trip (WaitCycles(1) per iteration). Must report 0 allocs/op: the
-// handshake is a single ping-pong channel and the wakeup reuses the
-// coroutine's cached resume thunk.
+// trip (WaitCycles(1) per iteration) through the production resume
+// path: a resume event whose firing switches to the coroutine. Must
+// report 0 allocs/op: resume events carry no closure.
 func BenchmarkCoroutineYield(b *testing.B) {
 	e := NewEngine()
 	co := NewCoroutine(e, func(co *Coroutine) {
@@ -62,7 +62,7 @@ func BenchmarkCoroutineYield(b *testing.B) {
 			co.WaitCycles(1)
 		}
 	})
-	e.Schedule(0, co.ResumeFn())
+	e.ScheduleResume(0, co)
 	e.Step() // park the coroutine on its first wait
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -83,7 +83,7 @@ func BenchmarkWaiterParkBroadcast(b *testing.B) {
 			w.Park(co)
 		}
 	})
-	e.Schedule(0, co.ResumeFn())
+	e.ScheduleResume(0, co)
 	e.Run(0) // coroutine is now parked on w
 	b.ReportAllocs()
 	b.ResetTimer()

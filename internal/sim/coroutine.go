@@ -1,173 +1,78 @@
+//go:build go1.23
+
 package sim
 
-// Coroutine bridges a goroutine into the discrete-event engine so that a
-// simulated hardware thread can be written as straight-line Go code.
+import "iter"
+
+// Coroutine bridges a runtime coroutine (iter.Pull) into the
+// discrete-event engine so that a simulated hardware thread can be
+// written as straight-line Go code.
 //
-// The contract: exactly one goroutine — the host (the Run caller) or one
-// coroutine — runs at any instant. Control is a baton passed by direct
-// channel handoff, and the baton holder runs the engine's event loop
-// itself (Engine.loop): firing a plain event is a function call on the
-// holder's stack, and firing a resume event hands the baton to the
-// target coroutine with a single channel send before the holder parks.
-// A coroutine whose own resume event is the next to fire simply returns
-// from Yield — zero channel operations. This inversion halves the
-// per-switch cost of the classic design (a dedicated engine goroutine
-// doing a send-then-receive round trip per resume) without touching the
-// schedule: the baton's path is a pure function of the (cycle, seq)
-// event order, so simulations remain bit-reproducible.
-//
-// The host regains the baton when the run terminates (Stop, cond,
-// drained queue, or cycle limit). Tests may instead drive coroutines
-// manually with Resume or Step while no Run is active; Yield then hands
-// the baton straight back to the blocked Resume caller.
+// The contract: exactly one goroutine — the Run caller or one coroutine
+// — runs at any instant. The event loop always runs on the Run caller's
+// goroutine. Firing a resume event switches to the target coroutine
+// (next), which runs until its next Yield switches back (yield). The
+// switches therefore follow the (cycle, seq) event order exactly, so
+// simulations remain bit-reproducible. A panic in a body comes back out
+// of next on the Run caller's goroutine and surfaces from Run.
 type Coroutine struct {
-	eng *Engine
-	// ch is this coroutine's baton slot: it parks by receiving on ch
-	// and runs while it holds the baton. Unbuffered, so every send is
-	// a direct handoff to the one parked receiver.
-	ch chan struct{}
-	// resumeFn is the cached legacy resume thunk for callers that
-	// schedule resumption as a plain callback event (tests); the
-	// simulator proper uses Engine.ScheduleResume, which needs no
-	// closure at all.
-	resumeFn func()
-	done     bool
-	aborted  bool
-	// hasBaton records whether this coroutine's goroutine holds the
-	// baton; the death handler uses it to decide whether it must keep
-	// the event loop alive on the way out.
-	hasBaton bool
-	// abortSync is set by Abort just before it wakes the parked
-	// coroutine: the unwinding goroutine then acknowledges on
-	// eng.abortAck instead of passing the baton on.
-	abortSync bool
+	eng  *Engine
+	next func() (struct{}, bool)
+	stop func()
+	// yield is the body's side of the switch, stored when the body
+	// first runs.
+	yield func(struct{}) bool
+	done  bool
 }
 
-// abortSentinel is the panic value used to unwind an aborted coroutine's
-// goroutine so it does not leak (e.g. when a simulated crash abandons
-// the machine mid-run).
+// abortSentinel is the panic value that unwinds an aborted coroutine's
+// body (e.g. when a simulated crash abandons the machine mid-run), so
+// its deferred calls run and its goroutine exits.
 type abortSentinel struct{}
 
-// NewCoroutine starts body on its own goroutine, paused: it does not run
-// until its first scheduled resume. Inside body, use co.WaitCycles /
-// co.WaitUntil / co.Yield to give up control.
+// NewCoroutine creates a coroutine running body, paused: body does not
+// start until the coroutine's first resume event (Engine.ScheduleResume)
+// fires. Inside body, use co.WaitCycles / co.Yield or a Waiter to give
+// up control.
 func NewCoroutine(eng *Engine, body func(co *Coroutine)) *Coroutine {
-	co := &Coroutine{
-		eng: eng,
-		ch:  make(chan struct{}),
-	}
-	co.resumeFn = func() { co.Resume() }
-	go func() {
-		e := eng
+	co := &Coroutine{eng: eng}
+	co.next, co.stop = iter.Pull(func(yield func(struct{}) bool) {
+		co.yield = yield
 		defer func() {
-			r := recover()
-			if r != nil {
+			co.done = true
+			if r := recover(); r != nil {
 				if _, ok := r.(abortSentinel); !ok {
-					// A real panic on this stack (a bug, or an armed
-					// write budget tripping inside an event). Transfer
-					// it to the host so it surfaces from Run, exactly
-					// as when the host fires every event itself.
-					if !co.hasBaton {
-						panic(r)
-					}
-					co.done = true
-					e.runActive = false
-					e.pendingPanic = r
-					e.handToHost(co)
-					return
+					panic(r)
 				}
 			}
-			co.done = true
-			switch {
-			case co.abortSync:
-				// Abort is blocked waiting for this unwind.
-				e.abortAck <- struct{}{}
-			case e.manualResume == co:
-				// Finished during a manual Resume: hand control back to
-				// the blocked caller.
-				e.handToHost(co)
-			case co.hasBaton:
-				// Died holding the baton: keep the event loop alive on
-				// this dying stack until the baton moves on.
-				defer func() {
-					if r := recover(); r != nil {
-						e.runActive = false
-						e.pendingPanic = r
-						e.handToHost(co)
-					}
-				}()
-				e.loop(co, true)
-			}
 		}()
-		e.park(co)
 		body(co)
-	}()
+	})
 	return co
 }
 
-// Abort unwinds a parked coroutine so its goroutine exits; used when a
-// simulated crash abandons the machine. If the coroutine being aborted
-// is the current baton holder (a crash event abandoning its own
-// machine), it is only marked: it unwinds at its next baton checkpoint.
-// No-op if already done.
+// Abort unwinds the coroutine so its goroutine exits; used when a
+// simulated crash abandons the machine. A suspended body unwinds from
+// its pending Yield, running its deferred calls; a body that never
+// started never runs. No-op if already done. Must not be called from
+// the coroutine's own body.
 func (co *Coroutine) Abort() {
 	if co.done {
 		return
 	}
-	co.aborted = true
-	e := co.eng
-	e.stats.CoroutineSwitches++
-	if e.current == co {
-		return
-	}
-	co.abortSync = true
-	co.ch <- struct{}{}
-	<-e.abortAck
+	co.eng.stats.CoroutineSwitches++
+	co.stop()
+	co.done = true
 }
 
-// Done reports whether the coroutine's body has returned.
+// Done reports whether the coroutine's body has returned or been
+// aborted.
 func (co *Coroutine) Done() bool { return co.done }
 
-// Resume hands control to the coroutine and blocks until it yields or
-// finishes. Legacy manual driver for tests; the simulator schedules
-// resumes with Engine.ScheduleResume instead. Safe to call from an
-// event callback: the resumed coroutine's next Yield returns here, not
-// into the event loop.
-func (co *Coroutine) Resume() {
-	if co.done {
-		return
-	}
-	e := co.eng
-	e.stats.CoroutineSwitches++
-	prevManual, prevCur := e.manualResume, e.current
-	e.manualResume = co
-	defer func() {
-		e.manualResume = prevManual
-		e.current = prevCur
-	}()
-	e.handTo(nil, co)
-	e.hostWait()
-}
-
-// ResumeFn returns the coroutine's cached resume thunk, for callers that
-// schedule resumption as a callback event (avoids a closure per wakeup).
-func (co *Coroutine) ResumeFn() func() { return co.resumeFn }
-
-// Yield gives up the baton until the coroutine's next resume event.
-// During a run the yielding goroutine keeps driving the event loop
-// itself; it only parks when the baton must move to another coroutine.
-// Must be called from within the coroutine body.
+// Yield suspends the coroutine until its next resume event fires. Must
+// be called from within the coroutine body.
 func (co *Coroutine) Yield() {
-	e := co.eng
-	if !e.runActive || e.manualResume == co {
-		// Manual-resume context: hand straight back to the blocked
-		// Resume caller.
-		e.handToHost(co)
-		e.park(co)
-		return
-	}
-	e.loop(co, false)
-	if co.aborted {
+	if !co.yield(struct{}{}) {
 		panic(abortSentinel{})
 	}
 }
@@ -177,19 +82,6 @@ func (co *Coroutine) Yield() {
 func (co *Coroutine) WaitCycles(d Cycle) {
 	co.eng.ScheduleResume(d, co)
 	co.Yield()
-}
-
-// WaitUntil repeatedly re-checks cond each poll cycles until it is true.
-// Use only for back-pressure conditions with no dedicated wakeup signal;
-// the simulator's own stall sites all park on a Waiter instead, which
-// schedules zero events while the coroutine is parked.
-func (co *Coroutine) WaitUntil(cond func() bool, poll Cycle) {
-	if poll == 0 {
-		poll = 1
-	}
-	for !cond() {
-		co.WaitCycles(poll)
-	}
 }
 
 // Waiter is a one-shot wakeup list: coroutines park on it and are resumed

@@ -3,10 +3,10 @@
 // The engine advances an integer cycle clock (2 GHz by convention: one
 // cycle = 0.5 ns) and fires scheduled events in (cycle, sequence) order,
 // so simulations are bit-reproducible across runs. Simulated hardware
-// threads are ordinary goroutines driven one at a time through a
-// cooperative handshake (see Coroutine), which preserves determinism:
-// exactly one goroutine — the engine's or a coroutine's — runs at any
-// instant.
+// threads are runtime coroutines (iter.Pull) that the event loop resumes
+// one at a time (see Coroutine), which preserves determinism: exactly
+// one goroutine — the Run caller or one coroutine — runs at any instant,
+// and the event loop always runs on the Run caller's goroutine.
 //
 // The event core is allocation-free in steady state: events are value
 // entries in an inline 4-ary min-heap (no per-event boxing), same-cycle
@@ -41,8 +41,7 @@ type Event func()
 // eventEntry is one scheduled event, stored by value: scheduling does
 // not allocate once the heap and ring have grown to the simulation's
 // working depth. Exactly one of fn and co is set: fn for a plain
-// callback, co for a coroutine resumption (the baton handoff the event
-// loop performs itself; see Coroutine).
+// callback, co for a coroutine resumption (see Coroutine).
 type eventEntry struct {
 	at  Cycle
 	seq uint64
@@ -77,9 +76,8 @@ type Stats struct {
 	// same-cycle ring).
 	PeakHeapDepth int `json:"peak_heap_depth"`
 	// CoroutineSwitches counts coroutine resumptions delivered: resume
-	// events fired on a live coroutine, manual Resume calls, and Abort
-	// unwinds. A pure function of the event order, like every counter
-	// here, regardless of which goroutine physically runs the loop.
+	// events fired on a live coroutine, plus Aborts of live coroutines.
+	// A pure function of the event order, like every counter here.
 	CoroutineSwitches uint64 `json:"coroutine_switches"`
 }
 
@@ -105,35 +103,10 @@ type Engine struct {
 	eventBudget uint64
 	budgetHit   bool
 	stats       Stats
-	// Baton-passing run state (see Coroutine). The goroutine holding
-	// the baton runs loop; current is the coroutine holding it (nil
-	// while the host does); hostCh returns the baton to the blocked
-	// Run (or legacy Resume) caller when the run terminates; abortAck
-	// acknowledges a synchronous Abort unwind; pendingPanic carries a
-	// panic raised on a coroutine's stack back to the host so it
-	// surfaces from Run, as it would if the host fired every event.
-	runActive    bool
-	runCond      func() bool
-	runLimit     Cycle
-	current      *Coroutine
-	hostCh       chan struct{}
-	abortAck     chan struct{}
-	pendingPanic any
-	// manualResume marks a coroutine being driven by a legacy Resume
-	// call (tests): its next Yield — or its death — hands control
-	// straight back to the blocked Resume caller instead of running
-	// the event loop, preserving Resume's synchronous semantics even
-	// when the call happens inside an event fired during a Run.
-	manualResume *Coroutine
 }
 
 // NewEngine returns an engine with the clock at cycle 0.
-func NewEngine() *Engine {
-	return &Engine{
-		hostCh:   make(chan struct{}),
-		abortAck: make(chan struct{}),
-	}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulated cycle.
 func (e *Engine) Now() Cycle { return e.now }
@@ -152,10 +125,8 @@ func (e *Engine) Schedule(delay Cycle, fn Event) {
 
 // ScheduleResume schedules co's resumption after delay cycles, through
 // the same (cycle, seq) queue as Schedule — resume events fire in
-// exactly the order a Schedule'd callback would. Delivering the
-// resumption is a baton handoff performed by the event loop itself
-// (one channel send, or none when the holder resumes itself) instead
-// of a callback doing a Resume round trip.
+// exactly the order a Schedule'd callback would. Firing it switches to
+// co until co next yields; no closure is needed.
 func (e *Engine) ScheduleResume(delay Cycle, co *Coroutine) {
 	if co == nil {
 		panic("sim: ScheduleResume called with nil coroutine")
@@ -266,9 +237,10 @@ func (e *Engine) popNext() (ev eventEntry, ok bool) {
 	return eventEntry{}, false
 }
 
-// fired advances the clock to ev's cycle and applies the watchdog. The
-// caller then runs the event (callback or resume handoff).
-func (e *Engine) fired(ev *eventEntry) {
+// fire advances the clock to ev's cycle, applies the watchdog and runs
+// the event: a callback, or a resumption that switches to ev.co until
+// its next Yield. A resume event for a finished coroutine is dropped.
+func (e *Engine) fire(ev *eventEntry) {
 	e.now = ev.at
 	e.stats.EventsFired++
 	if e.eventBudget != 0 && e.stats.EventsFired >= e.eventBudget {
@@ -279,11 +251,19 @@ func (e *Engine) fired(ev *eventEntry) {
 		e.budgetHit = true
 		e.stopped = true
 	}
+	if ev.co == nil {
+		ev.fn()
+		return
+	}
+	if ev.co.done {
+		return
+	}
+	e.stats.CoroutineSwitches++
+	ev.co.next()
 }
 
 // Step fires the next event, advancing the clock to its cycle. It returns
-// false if no events remain or the engine is stopped. Step is the manual
-// (test) driver; the simulator proper runs through Run's baton loop.
+// false if no events remain or the engine is stopped.
 func (e *Engine) Step() bool {
 	if e.stopped {
 		return false
@@ -292,154 +272,32 @@ func (e *Engine) Step() bool {
 	if !ok {
 		return false
 	}
-	e.fired(&ev)
-	if ev.co != nil {
-		ev.co.Resume()
-	} else {
-		ev.fn()
-	}
+	e.fire(&ev)
 	return true
 }
 
 // Run fires events until none remain, Stop is called, or the clock would
 // pass limit (limit 0 means no limit). It returns the cycle at which it
-// stopped.
-//
-// Run's caller is the "host" of the baton protocol (see Coroutine): it
-// starts the event loop on its own goroutine, hands the baton off when
-// a resume event fires, and blocks until the run terminates and the
-// baton comes home.
-func (e *Engine) Run(limit Cycle) Cycle { return e.run(nil, limit) }
+// stopped. Events fire on the caller's goroutine; coroutines run only
+// between a resume event's switch to them and their next Yield.
+func (e *Engine) Run(limit Cycle) Cycle { return e.RunUntil(nil, limit) }
 
 // RunUntil fires events while cond returns false, subject to the same
 // termination rules as Run.
 func (e *Engine) RunUntil(cond func() bool, limit Cycle) Cycle {
-	return e.run(cond, limit)
-}
-
-func (e *Engine) run(cond func() bool, limit Cycle) Cycle {
-	e.runActive = true
-	e.runCond = cond
-	e.runLimit = limit
-	e.loop(nil, false)
-	e.runActive = false
-	e.runCond = nil
-	e.runLimit = 0
-	return e.now
-}
-
-// loop drains events while the calling goroutine holds the baton. g is
-// the coroutine running the loop (nil when the host runs it); dying is
-// true when g's body has already returned and the loop runs on its
-// unwinding stack. The loop returns when:
-//   - g's own resume event fires (g's Yield returns to its body), or
-//   - the baton has been handed to another coroutine (dying: the dead
-//     goroutine exits; host: the run has since terminated and the baton
-//     came back through hostCh), or
-//   - the run terminates with this goroutine holding the baton (host:
-//     Run returns; live g: the baton goes to the host and g parks until
-//     a later run resumes it; dying g: the goroutine exits).
-func (e *Engine) loop(g *Coroutine, dying bool) {
-	for {
-		if g != nil && !dying && g.aborted {
-			// A crash event fired on this very stack abandoned this
-			// machine (self-abort). Unwind before touching the queue or
-			// the baton: the death handler re-enters the loop on the
-			// dying stack and passes the baton on, so done is published
-			// before any handoff — later observers are synchronized.
-			panic(abortSentinel{})
-		}
-		if e.stopped || (e.runCond != nil && e.runCond()) {
-			break
-		}
+	for !e.stopped && (cond == nil || !cond()) {
 		next := e.next()
 		if next == nil {
 			break
 		}
-		if e.runLimit != 0 && next.at > e.runLimit {
-			e.now = e.runLimit
+		if limit != 0 && next.at > limit {
+			e.now = limit
 			break
 		}
 		ev, _ := e.popNext()
-		e.fired(&ev)
-		if ev.co == nil {
-			ev.fn()
-			continue
-		}
-		co := ev.co
-		if co.done {
-			continue
-		}
-		e.stats.CoroutineSwitches++
-		if co == g {
-			// Self-resume: the holder's own event is next. Yield simply
-			// returns — no channel operation at all.
-			return
-		}
-		e.handTo(g, co)
-		if dying {
-			return
-		}
-		if g == nil {
-			// Host: the baton returns only at termination.
-			e.hostWait()
-			return
-		}
-		// Aborts arriving while g is parked are caught by park's
-		// post-wake check; reading g.aborted here, after the handoff,
-		// would race with the new baton holder.
-		e.park(g)
-		return
+		e.fire(&ev)
 	}
-	// The run terminated on this goroutine.
-	e.runActive = false
-	if g == nil {
-		return
-	}
-	e.handToHost(g)
-	if dying {
-		return
-	}
-	e.park(g)
-}
-
-// handTo passes the baton from from (nil for the host) to to.
-func (e *Engine) handTo(from, to *Coroutine) {
-	if from != nil {
-		from.hasBaton = false
-	}
-	e.current = to
-	to.ch <- struct{}{}
-}
-
-// handToHost returns the baton to the goroutine blocked in hostWait
-// (the Run caller, or a legacy Resume caller).
-func (e *Engine) handToHost(from *Coroutine) {
-	if from != nil {
-		from.hasBaton = false
-	}
-	e.current = nil
-	e.hostCh <- struct{}{}
-}
-
-// park blocks co until the baton is handed to it, then unwinds if it
-// was aborted in the meantime.
-func (e *Engine) park(co *Coroutine) {
-	<-co.ch
-	co.hasBaton = true
-	if co.aborted {
-		panic(abortSentinel{})
-	}
-}
-
-// hostWait blocks the host until the baton comes home, re-raising any
-// panic that unwound a coroutine's stack in the meantime.
-func (e *Engine) hostWait() {
-	<-e.hostCh
-	if p := e.pendingPanic; p != nil {
-		e.pendingPanic = nil
-		panic(p)
-	}
+	return e.now
 }
 
 // --- inline 4-ary min-heap ---

@@ -121,7 +121,7 @@ func TestScheduleZeroAlloc(t *testing.T) {
 }
 
 // Waiter wakeups must not allocate in steady state: Broadcast schedules
-// each parked coroutine's cached resume thunk.
+// a closure-free resume event per parked coroutine.
 func TestWaiterBroadcastZeroAlloc(t *testing.T) {
 	e := NewEngine()
 	w := NewWaiter(e)
@@ -130,7 +130,7 @@ func TestWaiterBroadcastZeroAlloc(t *testing.T) {
 			w.Park(co)
 		}
 	})
-	e.Schedule(0, co.ResumeFn())
+	e.ScheduleResume(0, co)
 	e.Run(0)
 	allocs := testing.AllocsPerRun(100, func() {
 		w.Broadcast()

@@ -126,7 +126,7 @@ func TestCoroutineBasic(t *testing.T) {
 		co.WaitCycles(5)
 		trace = append(trace, "done")
 	})
-	e.Schedule(0, func() { co.Resume() })
+	e.ScheduleResume(0, co)
 	e.Run(0)
 	if !co.Done() {
 		t.Fatal("coroutine not done")
@@ -142,29 +142,34 @@ func TestCoroutineBasic(t *testing.T) {
 	}
 }
 
+// Abort unwinds a parked body through its deferred calls exactly once;
+// a second Abort neither re-runs them nor counts another switch.
 func TestCoroutineAbortUnwinds(t *testing.T) {
 	e := NewEngine()
-	cleaned := false
+	cleaned := 0
 	co := NewCoroutine(e, func(co *Coroutine) {
-		defer func() { cleaned = true }()
+		defer func() { cleaned++ }()
 		co.WaitCycles(1000)
 		t.Error("coroutine ran past abort point")
 	})
-	e.Schedule(0, func() { co.Resume() })
+	e.ScheduleResume(0, co)
 	e.Schedule(5, func() { e.Stop() })
 	e.Run(0)
 	co.Abort()
 	if !co.Done() {
 		t.Error("aborted coroutine not done")
 	}
-	if cleaned {
-		// Abort unwinds via panic; deferred functions DO run. Verify
-		// that behaviour explicitly.
-	} else {
-		t.Error("deferred cleanup did not run during abort unwind")
+	if cleaned != 1 {
+		t.Errorf("deferred cleanup ran %d times during abort unwind, want 1", cleaned)
 	}
-	// Double abort is a no-op.
+	switches := e.Stats().CoroutineSwitches
 	co.Abort()
+	if cleaned != 1 {
+		t.Errorf("second Abort re-ran deferred cleanup (%d runs)", cleaned)
+	}
+	if got := e.Stats().CoroutineSwitches; got != switches {
+		t.Errorf("second Abort counted a switch: %d -> %d", switches, got)
+	}
 }
 
 func TestWaiterFIFO(t *testing.T) {
@@ -177,7 +182,7 @@ func TestWaiterFIFO(t *testing.T) {
 			w.Park(co)
 			woke = append(woke, i)
 		})
-		e.Schedule(Cycle(i), func() { co.Resume() })
+		e.ScheduleResume(Cycle(i), co)
 	}
 	e.Schedule(10, w.Broadcast)
 	e.Run(0)
@@ -191,21 +196,5 @@ func TestWaiterFIFO(t *testing.T) {
 	}
 	if w.Broadcasts() != 1 {
 		t.Errorf("Broadcasts = %d, want 1", w.Broadcasts())
-	}
-}
-
-func TestWaitUntil(t *testing.T) {
-	e := NewEngine()
-	flag := false
-	e.Schedule(100, func() { flag = true })
-	var doneAt Cycle
-	co := NewCoroutine(e, func(co *Coroutine) {
-		co.WaitUntil(func() bool { return flag }, 7)
-		doneAt = e.Now()
-	})
-	e.Schedule(0, func() { co.Resume() })
-	e.Run(0)
-	if doneAt < 100 || doneAt > 110 {
-		t.Errorf("WaitUntil completed at %d, want shortly after 100", doneAt)
 	}
 }

@@ -116,13 +116,3 @@ func (r *Recorder) Filter(pred func(Event) bool) []Event {
 	}
 	return out
 }
-
-// ByKind returns the events of one kind.
-func (r *Recorder) ByKind(k isa.OpKind) []Event {
-	return r.Filter(func(e Event) bool { return e.Kind == k })
-}
-
-// ByCore returns one core's events.
-func (r *Recorder) ByCore(core int) []Event {
-	return r.Filter(func(e Event) bool { return e.Core == core })
-}

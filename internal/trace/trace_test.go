@@ -20,11 +20,11 @@ func TestRecorderBasics(t *testing.T) {
 	if evs[0].Kind != isa.OpStore || evs[0].Value != 42 {
 		t.Errorf("first event %+v", evs[0])
 	}
-	if got := len(r.ByCore(0)); got != 2 {
-		t.Errorf("ByCore(0) = %d", got)
+	if got := len(r.Filter(func(e Event) bool { return e.Core == 0 })); got != 2 {
+		t.Errorf("Filter(core 0) = %d", got)
 	}
-	if got := len(r.ByKind(isa.OpCLWB)); got != 1 {
-		t.Errorf("ByKind(CLWB) = %d", got)
+	if got := len(r.Filter(func(e Event) bool { return e.Kind == isa.OpCLWB })); got != 1 {
+		t.Errorf("Filter(CLWB) = %d", got)
 	}
 }
 

@@ -86,12 +86,6 @@ func Init(sys *machine.System, threads int, entries uint64) *Logs {
 // Stats returns a copy of the log's counters.
 func (l *Log) Stats() LogStats { return l.stats }
 
-// Tid returns the owning thread id.
-func (l *Log) Tid() int { return l.tid }
-
-// Head returns the monotone committed-head index.
-func (l *Log) Head() uint64 { return l.head }
-
 // Tail returns the monotone tail index.
 func (l *Log) Tail() uint64 { return l.tail }
 
