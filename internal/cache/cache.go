@@ -9,6 +9,15 @@
 // images in package mem: line *values* always come from the volatile
 // image at the moment a flush or write-back is submitted, which matches
 // real hardware where the payload travels with the message.
+//
+// A machine costs what its run touches. NewHierarchy allocates O(cores)
+// whatever the modelled capacity: L2 sets live in a chunked arena and
+// the directory in lazily allocated pages, both growing with the lines
+// the run touches, and an L1's fixed-geometry arrays appear on its
+// first fill. In steady state the load, store, flush and write-back
+// paths allocate nothing: outstanding misses, flushes and write-back
+// drains are pooled slots whose continuations are bound once. See
+// docs/ARCHITECTURE.md, "Cache storage".
 package cache
 
 import (
@@ -48,6 +57,44 @@ type dirEntry struct {
 	sharers uint64
 }
 
+// dirPageLines is the number of lines one directory page covers.
+const dirPageLines = 64
+
+// dirPage holds the directory entries of dirPageLines consecutive lines.
+type dirPage [dirPageLines]dirEntry
+
+// directory is the coherence directory: a table of pages of inline
+// entries, allocated as a run first touches their lines (the same page
+// idea as mem.Image), with the last-resolved page cached. An entry's
+// address never changes once its page exists, so the miss paths hold
+// *dirEntry across asynchronous completions.
+type directory struct {
+	pages   map[mem.Addr]*dirPage
+	hotBase mem.Addr
+	hot     *dirPage
+}
+
+// entry returns line's directory entry, creating its page on first use.
+func (d *directory) entry(line mem.Addr) *dirEntry {
+	n := uint64(line) >> mem.LineShift
+	base := mem.Addr(n &^ (dirPageLines - 1))
+	if d.hot == nil || d.hotBase != base {
+		p := d.pages[base]
+		if p == nil {
+			if d.pages == nil {
+				d.pages = make(map[mem.Addr]*dirPage)
+			}
+			p = new(dirPage)
+			for i := range p {
+				p[i].owner = noOwner
+			}
+			d.pages[base] = p
+		}
+		d.hotBase, d.hot = base, p
+	}
+	return &d.hot[n%dirPageLines]
+}
+
 // Hierarchy is the shared cache system: L2, directory, and one L1 per
 // core.
 type Hierarchy struct {
@@ -56,7 +103,7 @@ type Hierarchy struct {
 	machine *mem.Machine
 	pm      *pmem.Topology
 
-	dir map[mem.Addr]*dirEntry
+	dir directory
 	l2  *l2cache
 	l1s []*L1
 
@@ -87,19 +134,20 @@ type HierStats struct {
 // NewHierarchy builds the cache system for cfg.Cores cores. All memory
 // traffic below the caches — fills, flushes, write-backs — routes
 // through the PM topology, which interleaves lines across its
-// controllers.
+// controllers. It allocates O(cores): cache and directory storage
+// appear as the run touches lines.
 func NewHierarchy(eng *sim.Engine, cfg config.Config, machine *mem.Machine, pm *pmem.Topology) *Hierarchy {
 	h := &Hierarchy{
 		eng:     eng,
 		cfg:     cfg,
 		machine: machine,
 		pm:      pm,
-		dir:     make(map[mem.Addr]*dirEntry),
-		l2:      newL2(cfg),
+		l2:      newL2(cfg.L2Sets, cfg.L2Ways),
+		l1s:     make([]*L1, cfg.Cores),
 		gates:   make([]PersistGate, cfg.Cores),
 	}
-	for i := 0; i < cfg.Cores; i++ {
-		h.l1s = append(h.l1s, newL1(h, i))
+	for i := range h.l1s {
+		h.l1s[i] = newL1(h, i)
 	}
 	return h
 }
@@ -120,16 +168,7 @@ func (h *Hierarchy) Preload(line mem.Addr) {
 	if mem.LineOffset(line) != 0 {
 		panic("cache: Preload of unaligned address")
 	}
-	h.l2.install(line, false, h)
-}
-
-func (h *Hierarchy) entry(line mem.Addr) *dirEntry {
-	e := h.dir[line]
-	if e == nil {
-		e = &dirEntry{owner: noOwner}
-		h.dir[line] = e
-	}
-	return e
+	h.l2Install(line, false)
 }
 
 func (h *Hierarchy) after(d uint64, fn func()) { h.eng.Schedule(sim.Cycle(d), fn) }
@@ -147,25 +186,24 @@ type l1Line struct {
 type L1 struct {
 	h    *Hierarchy
 	core int
-	sets [][]l1Line
-	tick uint64
-	wb   *writebackBuffer
-	// storeFills and loadFills coalesce outstanding misses per line
-	// (MSHR semantics): the first requester drives the fill, subsequent
-	// same-line requests piggyback on its completion.
-	storeFills map[mem.Addr][]func()
-	loadFills  map[mem.Addr][]func()
+	ways int
+	// lines holds set s in lines[s*ways : s*ways+count[s]]; both arrays
+	// are allocated on the first install.
+	lines []l1Line
+	count []int32
+	tick  uint64
+	wb    writebackBuffer
+	// mshrs are the outstanding misses, found by line and kind so
+	// same-line requests coalesce (see mshr); freeMSHRs recycles
+	// retired slots.
+	mshrs     []*mshr
+	freeMSHRs []*mshr
+	freeFlush []*flushOp
 }
 
 func newL1(h *Hierarchy, core int) *L1 {
-	l1 := &L1{
-		h:          h,
-		core:       core,
-		sets:       make([][]l1Line, h.cfg.L1Sets),
-		storeFills: make(map[mem.Addr][]func()),
-		loadFills:  make(map[mem.Addr][]func()),
-	}
-	l1.wb = newWritebackBuffer(l1)
+	l1 := &L1{h: h, core: core, ways: h.cfg.L1Ways}
+	l1.wb.l1 = l1
 	return l1
 }
 
@@ -173,8 +211,17 @@ func (l *L1) setIndex(line mem.Addr) int {
 	return int((uint64(line) >> mem.LineShift) % uint64(l.h.cfg.L1Sets))
 }
 
+// set returns set idx's resident lines.
+func (l *L1) set(idx int) []l1Line {
+	base := idx * l.ways
+	return l.lines[base : base+int(l.count[idx])]
+}
+
 func (l *L1) lookup(line mem.Addr) *l1Line {
-	set := l.sets[l.setIndex(line)]
+	if l.lines == nil {
+		return nil
+	}
+	set := l.set(l.setIndex(line))
 	for i := range set {
 		if set[i].line == line {
 			return &set[i]
@@ -197,15 +244,20 @@ func (l *L1) install(line mem.Addr, dirty bool) *l1Line {
 		l.touch(e)
 		return e
 	}
+	if l.lines == nil {
+		l.lines = make([]l1Line, l.h.cfg.L1Sets*l.ways)
+		l.count = make([]int32, l.h.cfg.L1Sets)
+	}
 	idx := l.setIndex(line)
-	set := l.sets[idx]
-	if len(set) < l.h.cfg.L1Ways {
-		l.sets[idx] = append(set, l1Line{line: line, dirty: dirty})
-		e := &l.sets[idx][len(l.sets[idx])-1]
+	if n := int(l.count[idx]); n < l.ways {
+		l.count[idx]++
+		e := &l.lines[idx*l.ways+n]
+		*e = l1Line{line: line, dirty: dirty}
 		l.touch(e)
 		return e
 	}
 	// Evict LRU.
+	set := l.set(idx)
 	victim := 0
 	for i := range set {
 		if set[i].lru < set[victim].lru {
@@ -222,7 +274,7 @@ func (l *L1) install(line mem.Addr, dirty bool) *l1Line {
 // evict removes e's line from this L1, sending dirty data through the
 // write-back buffer and updating the directory.
 func (l *L1) evict(e *l1Line) {
-	de := l.h.entry(e.line)
+	de := l.h.dir.entry(e.line)
 	if de.owner == l.core {
 		de.owner = noOwner
 		de.ownerDirty = false
@@ -234,7 +286,7 @@ func (l *L1) evict(e *l1Line) {
 	} else if !l.h.l2.present(e.line) {
 		// Keep a clean copy in L2 so a later reference is an L2 hit;
 		// clean fills never persist.
-		l.h.l2.install(e.line, false, l.h)
+		l.h.l2Install(e.line, false)
 	}
 }
 
@@ -242,12 +294,15 @@ func (l *L1) evict(e *l1Line) {
 // invalidation; the dirty payload conceptually travels with the
 // coherence reply).
 func (l *L1) drop(line mem.Addr) {
+	if l.lines == nil {
+		return
+	}
 	idx := l.setIndex(line)
-	set := l.sets[idx]
+	set := l.set(idx)
 	for i := range set {
 		if set[i].line == line {
 			set[i] = set[len(set)-1]
-			l.sets[idx] = set[:len(set)-1]
+			l.count[idx]--
 			return
 		}
 	}

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 
 	"strandweaver/internal/config"
@@ -276,6 +277,29 @@ func TestMSHRCoalescing(t *testing.T) {
 	st := h.Stats()
 	if got := h.ctrlReads(); got != 1 {
 		t.Errorf("%d memory reads for 7 same-line stores, want 1 (MSHR coalescing); stats %+v", got, st)
+	}
+}
+
+// TestMSHRWaiterOrder pins the completion order of coalesced misses:
+// the requester first, then its waiters in arrival order. A load
+// coalesces onto an outstanding load before a store, and a store never
+// coalesces onto a load, so it opens its own miss behind the load's.
+func TestMSHRWaiterOrder(t *testing.T) {
+	eng, h, _ := newHier(smallCfg())
+	line := mem.PMBase
+	var order []int
+	rec := func(i int) func() { return func() { order = append(order, i) } }
+	l := h.L1(0)
+	l.Load(line, rec(0))
+	l.Load(line, rec(1))
+	l.Store(line, rec(2))
+	l.Load(line, rec(3))
+	l.Store(line, rec(4))
+	l.Load(line, rec(5))
+	eng.Run(0)
+	want := []int{0, 1, 3, 5, 2, 4}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Errorf("completion order %v, want %v", order, want)
 	}
 }
 

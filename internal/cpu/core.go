@@ -126,9 +126,9 @@ type Core struct {
 	addResult    uint64
 	addFn        func()
 
-	// rng drives lock backoff jitter; rngDraws counts draws so a
-	// checkpoint restore can replay the generator to the same stream
-	// position (docs/SNAPSHOT.md).
+	// rng drives lock backoff jitter, seeded on the first draw;
+	// rngDraws counts draws so a checkpoint restore can replay the
+	// generator to the same stream position (docs/SNAPSHOT.md).
 	rng      *rand.Rand
 	rngDraws uint64
 
@@ -147,7 +147,6 @@ func NewCore(id int, eng *sim.Engine, cfg config.Config, design hwdesign.Design,
 		l1:      l1,
 		pm:      pm,
 		wake:    sim.NewWaiter(eng),
-		rng:     rand.New(rand.NewSource(int64(id)*7919 + 12345)),
 	}
 	c.sq = newStoreQueue(c)
 	c.kickFn = func() {

@@ -7,10 +7,21 @@ import (
 )
 
 // backoffJitter draws one lock-backoff jitter value, counting the draw
-// so Restore can replay the generator to the same position.
+// so Restore can replay the generator to the same position. The
+// generator is seeded on the first draw: most runs never contend for a
+// lock, and seeding a math/rand source is costly next to building a
+// core.
 func (c *Core) backoffJitter() int {
+	if c.rng == nil {
+		c.rng = newJitterRNG(c.id)
+	}
 	c.rngDraws++
 	return c.rng.Intn(8)
+}
+
+// newJitterRNG returns core id's backoff-jitter generator.
+func newJitterRNG(id int) *rand.Rand {
+	return rand.New(rand.NewSource(int64(id)*7919 + 12345))
 }
 
 // CoreState is a checkpoint of one core's architectural state: the
@@ -56,16 +67,20 @@ func (c *Core) Snapshot() *CoreState {
 
 // Restore rewinds the core to a previously captured state. The store
 // queue restores empty (see CoreState); the rng is rebuilt from the
-// core's deterministic seed and replayed to the captured draw count;
+// core's deterministic seed and replayed to the captured draw count
+// (left for the next draw to seed when the count is zero);
 // the blocked-operation slot clears — any in-flight memory operation
 // was destroyed with the engine's event queue.
 func (c *Core) Restore(s *CoreState) {
 	c.seq = s.Seq
 	c.stats = s.Stats
 	c.sq.restoreEmpty(sqStats{maxOccupancy: s.SQMaxOccupancy, drained: s.SQDrained})
-	c.rng = rand.New(rand.NewSource(int64(c.id)*7919 + 12345))
-	for i := uint64(0); i < s.RngDraws; i++ {
-		c.rng.Intn(8)
+	c.rng = nil
+	if s.RngDraws > 0 {
+		c.rng = newJitterRNG(c.id)
+		for i := uint64(0); i < s.RngDraws; i++ {
+			c.rng.Intn(8)
+		}
 	}
 	c.rngDraws = s.RngDraws
 	c.opDone = false
